@@ -19,7 +19,6 @@ import sys
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
-RUN_TIMEOUT_S = 175
 
 
 def build_dir():
@@ -71,10 +70,12 @@ def main():
            "--seconds", str(args.seconds), "--trace", str(args.trace)]
     if args.saturate > 0:
         cmd += ["--saturate", str(args.saturate)]
+    # A run measures about --seconds plus a few seconds of set-up.
+    timeout_s = 2 * max(args.seconds, args.saturate) + 60
     try:
-        proc = subprocess.run(cmd, cwd=ROOT, timeout=RUN_TIMEOUT_S)
+        proc = subprocess.run(cmd, cwd=ROOT, timeout=timeout_s)
     except subprocess.TimeoutExpired:
-        sys.exit(f"perfbench: run exceeded {RUN_TIMEOUT_S} s")
+        sys.exit(f"perfbench: run exceeded {timeout_s:.0f} s")
     sys.exit(proc.returncode)
 
 

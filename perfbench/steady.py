@@ -1,11 +1,12 @@
 #!/usr/bin/env python3
-"""Steadiness check: runs each workload repeatedly, one seed per run, and
-prints the median, quartiles and spread (Q3-Q1 as a share of the median) of
-every metric, next to its bound from BENCHMARK.json.
+"""Steadiness check: runs each workload repeatedly, untraced, with seeds
+1..runs, and prints the median, quartiles and spread (Q3-Q1 as a share of
+the median) of every end-to-end metric, next to its bound from
+BENCHMARK.json. A spread over a third of its bound is marked "> bound/3",
+one over the bound "> BOUND".
 
     python3 perfbench/steady.py --runs 10                 # every workload
-    python3 perfbench/steady.py --runs 5 --workloads serve --first-seed 11
-    python3 perfbench/steady.py --runs 3 --trace 1        # per-layer metrics
+    python3 perfbench/steady.py --runs 5 --workloads serve
 
 Raw results are appended to .bench_out/steady.jsonl.
 """
@@ -22,9 +23,9 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
 
 
-def run_once(workload, seed, seconds, trace):
+def run_once(workload, seed, seconds):
     cmd = [sys.executable, os.path.join(HERE, "run.py"), "--workload", workload,
-           "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)]
+           "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
     t0 = time.monotonic()
     proc = subprocess.run(cmd, cwd=ROOT, stdout=subprocess.PIPE,
                           stderr=subprocess.DEVNULL, text=True)
@@ -42,9 +43,7 @@ def main():
     ap = argparse.ArgumentParser(description=__doc__,
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--runs", type=int, default=10)
-    ap.add_argument("--first-seed", type=int, default=1)
     ap.add_argument("--seconds", type=int, default=bench["run_seconds"])
-    ap.add_argument("--trace", type=int, choices=[0, 1], default=0)
     ap.add_argument("--workloads", nargs="*",
                     default=[w["name"] for w in bench["workloads"]])
     args = ap.parse_args()
@@ -55,16 +54,15 @@ def main():
     for workload in args.workloads:
         results = []
         for i in range(args.runs):
-            seed = args.first_seed + i
-            r = run_once(workload, seed, args.seconds, args.trace)
-            r.update(workload=workload, seed=seed, trace=args.trace)
+            seed = 1 + i
+            r = run_once(workload, seed, args.seconds)
+            r.update(workload=workload, seed=seed)
             log.write(json.dumps(r) + "\n")
             log.flush()
             results.append(r)
         shares = {r["failed"] / r["attempted"] for r in results}
         wall = statistics.median(r["wall_s"] for r in results)
-        print(f"== {workload}: {args.runs} runs, seeds {args.first_seed}.."
-              f"{args.first_seed + args.runs - 1}, all correct: "
+        print(f"== {workload}: {args.runs} runs, seeds 1..{args.runs}, all correct: "
               f"{all(r['correct'] for r in results)}, failed shares {sorted(shares)}, "
               f"median wall {wall:.1f} s")
         print(f"  {'metric':28s} {'median':>12s} {'q1':>12s} {'q3':>12s} "
@@ -80,7 +78,7 @@ def main():
             spread = (q3 - q1) / med if med else float("nan")
             bound = bounds.get(name)
             flag = ""
-            if bound is not None and name != "setup_s" and spread > bound / 3:
+            if bound is not None and spread > bound / 3:
                 flag = "  > bound/3" if spread <= bound else "  > BOUND"
             print(f"  {name:28s} {med:12.6g} {q1:12.6g} {q3:12.6g} "
                   f"{spread:8.3f} {bound if bound is not None else '':>6} "
